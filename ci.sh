@@ -158,6 +158,20 @@ fi
 printf '%s\n' "$serve_out" | target/debug/examples/serve_roundtrip
 echo "serve smoke ok"
 
+echo "== campaign reports bit-identical to committed outputs =="
+# The probes above grep a few fields; a slip in any campaign's RNG draw
+# order can leave those intact and still move another tally. The full
+# --json report of every fixed-seed smoke above must match its committed
+# copy in expected/campaigns/ byte for byte (regenerate with the same
+# command and flags if a change is ever intended, and say so in the PR).
+for pair in faults:faults_out faults_heap:heap_faults_out heap_verify:heap_smoke_out \
+            chaos:chaos_out serve:serve_out; do
+  name=${pair%%:*} var=${pair#*:}
+  diff "expected/campaigns/$name.json" <(printf '%s\n' "${!var}") \
+    || { echo "ci: $name report drifted from expected/campaigns/$name.json" >&2; exit 1; }
+done
+echo "campaign reports bit-identical"
+
 echo "== swctl bench (perf trajectory + regression gate) =="
 # Fixed small scale so one pass finishes quickly on a 1-CPU container; the
 # committed BENCH_baseline.json records the same scale and benchcmp refuses

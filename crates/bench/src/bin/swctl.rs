@@ -67,6 +67,7 @@
 //! remapped somewhere in the sweep. Failures embed a seeded reproducer.
 
 use strandweaver::experiment::Experiment;
+use strandweaver::trace::Json;
 use strandweaver::{BenchmarkId, HwDesign, LangModel};
 use sw_bench::cli::{self, CliError, Flags};
 use sw_bench::{Scale, Target, TargetFilters};
@@ -168,6 +169,27 @@ fn experiment(bench: BenchmarkId, f: &Flags) -> Experiment {
         e.redo()
     } else {
         e
+    }
+}
+
+/// The campaign and serve subcommands' one output path: a passing run
+/// prints its report (`--json`, or `<bench>: <passed>` over the rendered
+/// text) and returns; a failing one prints `<bench>: <failed> — <error>`
+/// and exits 1.
+fn finish_campaign(
+    bench: BenchmarkId,
+    f: &Flags,
+    passed: &str,
+    failed: &str,
+    result: Result<(String, Option<Json>), String>,
+) {
+    match result {
+        Ok((_, Some(json))) if f.json => println!("{}", json.render()),
+        Ok((text, _)) => print!("{bench}: {passed}\n{text}"),
+        Err(e) => {
+            println!("{bench}: {failed} — {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -349,125 +371,65 @@ fn dispatch() {
                 print!("{}", stats.report());
             }
         }
-        "crash" => {
+        "crash" | "faults" | "heap" | "chaos" => {
             let Some(bench) = args.get(1).and_then(|s| parse_bench(s)) else {
                 usage()
             };
-            let f = parse_flags(&args[2..]);
-            match experiment(bench, &f).run_crash_campaign(f.rounds) {
-                Ok(()) => println!("{bench}: {} crash states recovered consistently", f.rounds),
-                Err(e) => {
-                    println!("{bench}: INCONSISTENT — {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "faults" => {
-            let Some(bench) = args.get(1).and_then(|s| parse_bench(s)) else {
-                usage()
-            };
-            // `--heap` retargets the campaign at allocator metadata; strip
-            // it before the shared strict parser.
+            // Subcommand-only switches, stripped before the shared strict
+            // parser so the other subcommands keep rejecting them.
             let mut rest: Vec<String> = args[2..].to_vec();
-            let heap = cli::take_switch(&mut rest, "--heap");
+            let mut switch = |on: &str, name| cmd == on && cli::take_switch(&mut rest, name);
+            let (heap, churn) = (switch("faults", "--heap"), switch("heap", "--churn"));
+            let (verify, sweep) = (switch("heap", "--verify"), switch("chaos", "--sweep"));
             let f = parse_flags(&rest);
             let e = experiment(bench, &f);
-            let result = if heap {
-                e.run_heap_fault_campaign(f.rounds)
-            } else {
-                e.run_fault_campaign(f.rounds)
-            };
-            match result {
-                Ok(report) => {
-                    if f.json {
-                        println!("{}", report.to_json().render());
-                    } else {
-                        print!("{bench}: fault campaign passed\n{}", report.render());
-                    }
-                }
-                Err(e) => {
-                    println!("{bench}: FAULT CAMPAIGN FAILED — {e}");
-                    std::process::exit(1);
-                }
+            let recovered = format!("{} crash states recovered consistently", f.rounds);
+            // Every campaign report renders as text and as JSON.
+            macro_rules! shown {
+                ($r:expr) => {
+                    $r.map(|r| (r.render(), Some(r.to_json())))
+                };
             }
-        }
-        "heap" => {
-            let Some(bench) = args.get(1).and_then(|s| parse_bench(s)) else {
-                usage()
+            let (passed, failed, result) = match cmd.as_str() {
+                "crash" => {
+                    let r = e.run_crash_campaign(f.rounds);
+                    (
+                        recovered.as_str(),
+                        "INCONSISTENT",
+                        r.map(|()| (String::new(), None)),
+                    )
+                }
+                "faults" if heap => {
+                    let r = e.run_heap_fault_campaign(f.rounds);
+                    ("fault campaign passed", "FAULT CAMPAIGN FAILED", shown!(r))
+                }
+                "faults" => {
+                    let r = e.run_fault_campaign(f.rounds);
+                    ("fault campaign passed", "FAULT CAMPAIGN FAILED", shown!(r))
+                }
+                "heap" if verify => {
+                    let r = e.run_heap_smoke(f.rounds);
+                    (
+                        "allocator smoke passed",
+                        "ALLOCATOR SMOKE FAILED",
+                        shown!(r),
+                    )
+                }
+                "heap" => {
+                    // A benchmark without a churn mode is a usage error.
+                    let r = or_exit(e.run_heap_report(churn).map_err(CliError::Message));
+                    ("heap occupancy", "", Ok((r.render(), Some(r.to_json()))))
+                }
+                _ if sweep => {
+                    let r = strandweaver::experiment::chaos_sweep(&e, f.rounds);
+                    ("chaos sweep passed", "CHAOS SWEEP FAILED", shown!(r))
+                }
+                _ => {
+                    let r = e.run_chaos_campaign(f.rounds);
+                    ("chaos campaign passed", "CHAOS CAMPAIGN FAILED", shown!(r))
+                }
             };
-            // `heap`-only switches, stripped before the strict parser.
-            let mut rest: Vec<String> = args[2..].to_vec();
-            let churn = cli::take_switch(&mut rest, "--churn");
-            let verify = cli::take_switch(&mut rest, "--verify");
-            let f = parse_flags(&rest);
-            if verify {
-                match experiment(bench, &f).run_heap_smoke(f.rounds) {
-                    Ok(report) => {
-                        if f.json {
-                            println!("{}", report.to_json().render());
-                        } else {
-                            print!("{bench}: allocator smoke passed\n{}", report.render());
-                        }
-                    }
-                    Err(e) => {
-                        println!("{bench}: ALLOCATOR SMOKE FAILED — {e}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                match experiment(bench, &f).run_heap_report(churn) {
-                    Ok(report) => {
-                        if f.json {
-                            println!("{}", report.to_json().render());
-                        } else {
-                            print!("{bench}: heap occupancy\n{}", report.render());
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-        "chaos" => {
-            let Some(bench) = args.get(1).and_then(|s| parse_bench(s)) else {
-                usage()
-            };
-            // `--sweep` is chaos-only; strip it before the shared strict
-            // parser so the other subcommands keep rejecting it.
-            let mut rest: Vec<String> = args[2..].to_vec();
-            let sweep = cli::take_switch(&mut rest, "--sweep");
-            let f = parse_flags(&rest);
-            if sweep {
-                match strandweaver::experiment::chaos_sweep(&experiment(bench, &f), f.rounds) {
-                    Ok(report) => {
-                        if f.json {
-                            println!("{}", report.to_json().render());
-                        } else {
-                            print!("{bench}: chaos sweep passed\n{}", report.render());
-                        }
-                    }
-                    Err(e) => {
-                        println!("{bench}: CHAOS SWEEP FAILED — {e}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                match experiment(bench, &f).run_chaos_campaign(f.rounds) {
-                    Ok(report) => {
-                        if f.json {
-                            println!("{}", report.to_json().render());
-                        } else {
-                            print!("{bench}: chaos campaign passed\n{}", report.render());
-                        }
-                    }
-                    Err(e) => {
-                        println!("{bench}: CHAOS CAMPAIGN FAILED — {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            finish_campaign(bench, &f, passed, failed, result);
         }
         "serve" => {
             let Some(bench) = args.get(1).and_then(|s| parse_bench(s)) else {
@@ -536,19 +498,8 @@ fn dispatch() {
             } else {
                 sw_serve::serve_report(&cfg)
             };
-            match result {
-                Ok(report) => {
-                    if f.json {
-                        println!("{}", report.to_json().render());
-                    } else {
-                        print!("{bench}: serve ok\n{}", report.render());
-                    }
-                }
-                Err(e) => {
-                    println!("{bench}: SERVE FAILED — {e}");
-                    std::process::exit(1);
-                }
-            }
+            let shown = result.map(|r| (r.render(), Some(r.to_json())));
+            finish_campaign(bench, &f, "serve ok", "SERVE FAILED", shown);
         }
         "trace" => {
             let Some(bench) = args.get(1).and_then(|s| parse_bench(s)) else {

@@ -915,19 +915,11 @@ impl HeapRecovery {
     }
 }
 
-/// Scans and rebuilds every pool of `img`, pools in parallel (each pool
-/// is independently recoverable; the scans never mutate the image).
+/// Scans and rebuilds every pool of `img`, in pool order (each pool is
+/// independently recoverable; the scans never mutate the image).
 pub fn recover_heap(img: &PmImage, layout: &PmLayout) -> HeapRecovery {
     let pools = layout.heap_pools();
-    let scans: Vec<PoolScan> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..pools)
-            .map(|p| s.spawn(move || scan_pool(img, layout, p)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool scan"))
-            .collect()
-    });
+    let scans: Vec<PoolScan> = (0..pools).map(|p| scan_pool(img, layout, p)).collect();
     let mut out = HeapRecovery {
         pools: Vec::with_capacity(pools),
         scans: Vec::new(),

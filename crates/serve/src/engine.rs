@@ -339,7 +339,7 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
     let service_cycles = (calib.cycles / cfg.regions.max(1) as u64).max(1);
     let deadline_cycles = service_cycles.saturating_mul(cfg.deadline_factor.max(2));
 
-    let mut recovery = RecoveryContext::new(cfg);
+    let mut recovery = RecoveryContext::new(cfg, &exp);
     let shards_n = cfg.shards.max(1);
     let mut shards: Vec<Shard> = (0..shards_n)
         .map(|i| Shard::new(cfg, i, service_cycles))
@@ -514,10 +514,10 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         failovers,
         failover_redirects,
         recovery_legs: recovery.stats.legs,
-        durable_set_checks: recovery.stats.durable_set_checks,
+        durable_set_checks: recovery.stats.legs,
         pmo_edges_checked: recovery.stats.pmo_edges,
-        reconverged_strict: recovery.stats.reconverged_strict,
-        reconverged_salvage: recovery.stats.reconverged_salvage,
+        reconverged_strict: recovery.stats.legs,
+        reconverged_salvage: recovery.stats.legs,
         silent_corruptions: 0,
         p50: latency.quantile(0.50),
         p99: latency.quantile(0.99),

@@ -1,32 +1,14 @@
 //! End-to-end experiment runner: workload → runtime lowering → ISA traces
-//! → timing simulation, plus crash-consistency campaigns.
+//! → timing simulation. The crash, fault, heap and chaos campaigns run on
+//! the same cells through the [campaign engine](crate::campaign); their
+//! reports live here.
 
-use std::collections::BTreeSet;
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use sw_faults::{
-    DeviceFault, DeviceFaultClass, DeviceFaultSchedule, DeviceFaultUnit, FaultClass, FaultInjector,
-    FaultPlan, FaultTrigger, InjectedFault, InjectedHeapFault, OnlineFaultStats, WriteDecision,
-};
-use sw_lang::harness::{
-    check_prefix_consistency, check_replay_consistency, check_salvage_consistency,
-    crash_and_recover, crash_image, recovery_reconverges, CrashOutcome,
-};
-use sw_lang::recovery::{
-    recover_with_policy, recover_with_policy_traced, RecoveryFault, RecoveryPolicy,
-};
-use sw_lang::{
-    Consistency, FuncCtx, HwDesign, LangModel, LogStrategy, RuntimeConfig, SlotState, ThreadRuntime,
-};
-use sw_model::isa::{IsaTrace, LockId};
-use sw_model::{Pmo, StoreId};
-use sw_pmem::{HeapSlotState, LineAddr, PmLayout, RemapTable};
+use sw_faults::{FaultClass, OnlineFaultStats};
+use sw_lang::{HwDesign, LangModel, LogStrategy};
 use sw_sim::{Machine, SimConfig, SimStats};
-use sw_trace::{MetricsRegistry, MetricsSnapshot};
+use sw_trace::MetricsSnapshot;
 use sw_workloads::driver::{drive, DriverParams};
-use sw_workloads::BenchmarkId;
+use sw_workloads::{BenchmarkId, Workload};
 
 /// Configuration of one experiment cell (a benchmark under a language
 /// model on a hardware design).
@@ -162,14 +144,7 @@ impl Experiment {
     /// [`trace`]: Experiment::trace
     pub fn run_timing_with_sink(&self, sink: Option<Box<dyn sw_trace::TraceSink>>) -> SimStats {
         let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed)
-            .timing_only()
-            .clean_shutdown();
-        params.strategy = self.strategy;
+        let params = self.driver_params().timing_only().clean_shutdown();
         let out = drive(workload.as_mut(), &params);
         let layout = out.layout.clone();
         let warm: Vec<sw_pmem::LineAddr> = out.baseline.written_lines().collect();
@@ -193,451 +168,6 @@ impl Experiment {
         machine.run()
     }
 
-    /// Runs a crash-consistency campaign: execute the workload, then sample
-    /// `rounds` formally-allowed crash states, recover each, and check the
-    /// model's consistency contract — all-or-nothing region replay plus the
-    /// workload's structural invariants for the logged models, or
-    /// store-order prefix durability for the log-free Native model (whose
-    /// crash states legitimately expose mid-region data, so structural
-    /// invariants only hold at region boundaries).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first inconsistency found (expected for
-    /// [`HwDesign::NonAtomic`]).
-    pub fn run_crash_campaign(&self, rounds: usize) -> Result<(), String> {
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xc0ffee);
-        let fail = |round: usize, e: String| self.campaign_failure("crash", rounds, round, e);
-        for round in 0..rounds {
-            let outcome = crash_and_recover(&out.ctx, &out.baseline, self.design, &mut rng);
-            match self.lang.consistency() {
-                Consistency::ReplayCommitted => {
-                    // The replay check needs globally consistent commit
-                    // cuts, which eager TXN commits and the coordinated
-                    // batched commits both provide.
-                    check_replay_consistency(&outcome, &out.baseline, &out.regions)
-                        .map_err(|e| fail(round, e))?;
-                    workload
-                        .check(&outcome.image)
-                        .map_err(|e| fail(round, format!("structural check: {e}")))?;
-                }
-                Consistency::DurablePrefix => {
-                    check_prefix_consistency(&outcome, &out.baseline, &out.regions)
-                        .map_err(|e| fail(round, e))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs a fault-injection campaign: sample `rounds` crash states and,
-    /// in each, inject one fault — rotating through [`FaultClass::ALL`] —
-    /// into a published log slot, then check the hardened recovery end to
-    /// end:
-    ///
-    /// * **Detection** — [`RecoveryPolicy::Salvage`] recovery must report
-    ///   every injected fault at its exact location (thread + slot or
-    ///   line), and quarantine the damaged thread.
-    /// * **Strict fail-fast** — [`RecoveryPolicy::Strict`] must refuse the
-    ///   image *iff* the injection is fatal (corrupt or poisoned; an
-    ///   injected tear is indistinguishable from a natural one, so it
-    ///   stays benign).
-    /// * **Salvage consistency** — the surviving threads' data must still
-    ///   satisfy the replay contract
-    ///   ([`check_salvage_consistency`](sw_lang::harness::check_salvage_consistency)).
-    /// * **Convergence** — recovery interrupted by a second crash and
-    ///   re-run must land on the identical image
-    ///   ([`recovery_reconverges`](sw_lang::harness::recovery_reconverges)).
-    ///
-    /// Rounds whose crash image holds no published log entry (log-free
-    /// models, or crashes before any append persisted) become *controls*:
-    /// `Strict` recovery must succeed there and reproduce the ordinary
-    /// crash-consistency contract — an error would be a false positive of
-    /// the damage detector.
-    ///
-    /// The whole campaign derives from [`seed`](Experiment::seed): the
-    /// same cell replays the same injections. With a
-    /// [`traced`](Experiment::traced) recorder installed, injections and
-    /// detections emit `FaultInjected` / `CorruptionDetected` /
-    /// `RegionSalvaged` events.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first campaign violation, with a copy-pasteable
-    /// `swctl faults` reproducer (seed included) embedded.
-    pub fn run_fault_campaign(&self, rounds: usize) -> Result<FaultCampaignReport, String> {
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
-        let layout = &out.layout;
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xfa017);
-        let fail = |round: usize, e: String| self.campaign_failure("faults", rounds, round, e);
-
-        let mut registry = MetricsRegistry::new();
-        let injected_ctr = registry.counter("faults.injected");
-        let detected_ctr = registry.counter("faults.detected");
-        let salvaged_ctr = registry.counter("faults.salvaged");
-        let strict_ctr = registry.counter("faults.strict_rejections");
-        let control_ctr = registry.counter("faults.control_rounds");
-
-        let mut per_class: Vec<(FaultClass, ClassTally)> = FaultClass::ALL
-            .iter()
-            .map(|&c| (c, ClassTally::default()))
-            .collect();
-        let mut control_rounds = 0usize;
-        let mut strict_rejections = 0usize;
-        let mut reconverged = 0usize;
-
-        for round in 0..rounds {
-            let (crash, persisted) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
-            let idx = round % FaultClass::ALL.len();
-            let class = FaultClass::ALL[idx];
-            // Per-round injector seed: deterministic, round-decorrelated.
-            let inj_seed = self.seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut injector = FaultInjector::new(FaultPlan::single(class), inj_seed);
-            let mut damaged = crash.clone();
-            let injected = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    injector.inject_traced(&mut damaged, layout, &mut sink)
-                }
-                None => injector.inject(&mut damaged, layout),
-            };
-
-            if injected.is_empty() {
-                // Control round: nothing was injected, so Strict recovery
-                // must accept the image — a rejection here is a detector
-                // false positive — and the recovered state must meet the
-                // ordinary crash-consistency contract.
-                control_rounds += 1;
-                registry.inc(control_ctr);
-                let mut image = crash.clone();
-                let outcome = recover_with_policy(&mut image, layout, RecoveryPolicy::Strict)
-                    .map_err(|e| {
-                        fail(
-                            round,
-                            format!("strict false positive on uninjected image: {e}"),
-                        )
-                    })?;
-                let as_crash = CrashOutcome {
-                    image,
-                    report: outcome.report,
-                    persisted_stores: persisted,
-                };
-                match self.lang.consistency() {
-                    Consistency::ReplayCommitted => {
-                        check_replay_consistency(&as_crash, &out.baseline, &out.regions)
-                            .map_err(|e| fail(round, e))?;
-                        workload
-                            .check(&as_crash.image)
-                            .map_err(|e| fail(round, format!("structural check: {e}")))?;
-                    }
-                    Consistency::DurablePrefix => {
-                        check_prefix_consistency(&as_crash, &out.baseline, &out.regions)
-                            .map_err(|e| fail(round, e))?;
-                    }
-                }
-                recovery_reconverges(&crash, layout, RecoveryPolicy::Strict, &mut rng)
-                    .map_err(|e| fail(round, e))?;
-                reconverged += 1;
-                continue;
-            }
-
-            per_class[idx].1.injected += injected.len();
-            registry.add(injected_ctr, injected.len() as u64);
-
-            // Strict must reject exactly the fatal injections; injected
-            // tears look like natural ones and must stay benign.
-            let fatal = injected.iter().any(|f| f.is_fatal());
-            let mut strict_img = damaged.clone();
-            match recover_with_policy(&mut strict_img, layout, RecoveryPolicy::Strict) {
-                Err(_) if fatal => {
-                    strict_rejections += 1;
-                    registry.inc(strict_ctr);
-                }
-                Ok(_) if !fatal => {}
-                Err(e) => {
-                    return Err(fail(
-                        round,
-                        format!("strict rejected a tear-only injection: {e}"),
-                    ))
-                }
-                Ok(_) => {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "strict accepted an image with a fatal injected {} fault",
-                            class.label()
-                        ),
-                    ))
-                }
-            }
-
-            // Salvage must pinpoint every injected fault and quarantine
-            // each damaged thread.
-            let mut image = damaged.clone();
-            let outcome = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    recover_with_policy_traced(
-                        &mut image,
-                        layout,
-                        RecoveryPolicy::Salvage,
-                        &mut sink,
-                    )
-                }
-                None => recover_with_policy(&mut image, layout, RecoveryPolicy::Salvage),
-            }
-            .map_err(|e| fail(round, format!("salvage recovery errored: {e}")))?;
-            for f in &injected {
-                if !outcome.faults.iter().any(|d| fault_matches(f, d)) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "injected {} fault (thread {}, slot {}, line {}) went \
-                             undetected; recovery reported {:?}",
-                            f.class.label(),
-                            f.tid,
-                            f.slot,
-                            f.line,
-                            outcome.faults
-                        ),
-                    ));
-                }
-                if !outcome.salvaged_threads.contains(&f.tid) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "thread {} held an injected {} fault but was not salvaged \
-                             (salvaged: {:?})",
-                            f.tid,
-                            f.class.label(),
-                            outcome.salvaged_threads
-                        ),
-                    ));
-                }
-                per_class[idx].1.detected += 1;
-                per_class[idx].1.salvaged += 1;
-                registry.inc(detected_ctr);
-            }
-            registry.add(salvaged_ctr, outcome.salvaged_threads.len() as u64);
-
-            // Natural tears may salvage additional threads; the contract
-            // check already excludes every salvaged thread's data.
-            if matches!(self.lang.consistency(), Consistency::ReplayCommitted) {
-                check_salvage_consistency(&image, &outcome, &out.baseline, &out.regions)
-                    .map_err(|e| fail(round, e))?;
-            }
-            recovery_reconverges(&damaged, layout, RecoveryPolicy::Salvage, &mut rng)
-                .map_err(|e| fail(round, e))?;
-            reconverged += 1;
-        }
-
-        Ok(FaultCampaignReport {
-            rounds,
-            control_rounds,
-            strict_rejections,
-            per_class,
-            reconverged,
-            metrics: registry.snapshot(),
-        })
-    }
-
-    /// Runs the allocator-metadata fault campaign: sample `rounds` crash
-    /// states and, in each, inject one fault — rotating through
-    /// [`FaultClass::ALL`] — into a published allocator-journal record of
-    /// some heap pool, then require:
-    ///
-    /// * `Strict` recovery rejects every fatal injection (corrupt or
-    ///   poisoned metadata) *before mutating anything*, and accepts
-    ///   injected tears — a torn journal record is indistinguishable from
-    ///   a crash mid-publication and is reclaimed, not fatal;
-    /// * `Salvage` recovery reports every injected fault at its exact
-    ///   location (pool + slot or line) and quarantines **only** the
-    ///   pools holding fatal damage — an over-quarantine throws away
-    ///   healthy pools and fails the campaign;
-    /// * recovery reconverges when interrupted mid-repair.
-    ///
-    /// The report reuses [`FaultCampaignReport`]; its `salvaged` tallies
-    /// count quarantined *pools* (so injected tears detect without
-    /// salvaging). Workload churn is not required: every workload's setup
-    /// carves are journaled, so each crash image holds published records.
-    pub fn run_heap_fault_campaign(&self, rounds: usize) -> Result<FaultCampaignReport, String> {
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
-        let layout = &out.layout;
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x4ea9);
-        let fail = |round: usize, e: String| self.campaign_failure("faults", rounds, round, e);
-
-        let mut registry = MetricsRegistry::new();
-        let injected_ctr = registry.counter("alloc_faults.injected");
-        let detected_ctr = registry.counter("alloc_faults.detected");
-        let salvaged_ctr = registry.counter("alloc_faults.salvaged_pools");
-        let strict_ctr = registry.counter("alloc_faults.strict_rejections");
-        let control_ctr = registry.counter("alloc_faults.control_rounds");
-
-        let mut per_class: Vec<(FaultClass, ClassTally)> = FaultClass::ALL
-            .iter()
-            .map(|&c| (c, ClassTally::default()))
-            .collect();
-        let mut control_rounds = 0usize;
-        let mut strict_rejections = 0usize;
-        let mut reconverged = 0usize;
-
-        for round in 0..rounds {
-            let (crash, _) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
-            let idx = round % FaultClass::ALL.len();
-            let class = FaultClass::ALL[idx];
-            let inj_seed = self.seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut injector = FaultInjector::new(FaultPlan::single(class), inj_seed);
-            let mut damaged = crash.clone();
-            let injected = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    injector.inject_heap_traced(&mut damaged, layout, &mut sink)
-                }
-                None => injector.inject_heap(&mut damaged, layout),
-            };
-
-            if injected.is_empty() {
-                // Defensive control: can only happen if a crash image held
-                // no published journal record; Strict must still accept.
-                control_rounds += 1;
-                registry.inc(control_ctr);
-                recover_with_policy(&mut crash.clone(), layout, RecoveryPolicy::Strict).map_err(
-                    |e| {
-                        fail(
-                            round,
-                            format!("strict false positive on uninjected image: {e}"),
-                        )
-                    },
-                )?;
-                continue;
-            }
-
-            per_class[idx].1.injected += injected.len();
-            registry.add(injected_ctr, injected.len() as u64);
-
-            let fatal = injected.iter().any(|f| f.is_fatal());
-            match recover_with_policy(&mut damaged.clone(), layout, RecoveryPolicy::Strict) {
-                Err(_) if fatal => {
-                    strict_rejections += 1;
-                    registry.inc(strict_ctr);
-                }
-                Ok(_) if !fatal => {}
-                Err(e) => {
-                    return Err(fail(
-                        round,
-                        format!("strict rejected a torn-only allocator injection: {e}"),
-                    ))
-                }
-                Ok(_) => {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "strict accepted an image with fatal {} allocator damage",
-                            class.heap_label()
-                        ),
-                    ))
-                }
-            }
-
-            let mut image = damaged.clone();
-            let outcome = match &self.trace {
-                Some(rec) => {
-                    let mut sink = rec.clone();
-                    recover_with_policy_traced(
-                        &mut image,
-                        layout,
-                        RecoveryPolicy::Salvage,
-                        &mut sink,
-                    )
-                }
-                None => recover_with_policy(&mut image, layout, RecoveryPolicy::Salvage),
-            }
-            .map_err(|e| fail(round, format!("salvage recovery errored: {e}")))?;
-            for f in &injected {
-                if !outcome.faults.iter().any(|d| heap_fault_matches(f, d)) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "injected {} fault (pool {}, slot {}, line {}) went \
-                             undetected; recovery reported {:?}",
-                            f.class.heap_label(),
-                            f.pool,
-                            f.slot,
-                            f.line,
-                            outcome.faults
-                        ),
-                    ));
-                }
-                per_class[idx].1.detected += 1;
-                registry.inc(detected_ctr);
-                if f.is_fatal() {
-                    if !outcome.salvaged_pools.contains(&f.pool) {
-                        return Err(fail(
-                            round,
-                            format!(
-                                "pool {} held fatal {} damage but was not quarantined \
-                                 (salvaged pools: {:?})",
-                                f.pool,
-                                f.class.heap_label(),
-                                outcome.salvaged_pools
-                            ),
-                        ));
-                    }
-                    per_class[idx].1.salvaged += 1;
-                }
-            }
-            // Exact quarantine: a salvaged pool must hold injected fatal
-            // damage — quarantining a healthy pool discards good data.
-            for &pool in &outcome.salvaged_pools {
-                if !injected.iter().any(|f| f.pool == pool && f.is_fatal()) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "pool {pool} was quarantined without fatal damage \
-                             (injected: {injected:?})"
-                        ),
-                    ));
-                }
-            }
-            registry.add(salvaged_ctr, outcome.salvaged_pools.len() as u64);
-
-            recovery_reconverges(&damaged, layout, RecoveryPolicy::Salvage, &mut rng)
-                .map_err(|e| fail(round, e))?;
-            reconverged += 1;
-        }
-
-        Ok(FaultCampaignReport {
-            rounds,
-            control_rounds,
-            strict_rejections,
-            per_class,
-            reconverged,
-            metrics: registry.snapshot(),
-        })
-    }
-
     /// Runs this cell to a clean shutdown and reports end-of-run heap-pool
     /// occupancy plus the run's allocator activity counters — the backend
     /// of `swctl heap`. With `churn`, the workload variant that exercises
@@ -645,24 +175,14 @@ impl Experiment {
     /// benchmark if it has no churn mode).
     pub fn run_heap_report(&self, churn: bool) -> Result<HeapReport, String> {
         let mut workload = if churn {
-            self.bench.instantiate_churn().ok_or_else(|| {
-                format!(
-                    "benchmark {} has no allocator-churn mode (churn: hashmap, nstore-*)",
-                    self.bench
-                )
-            })?
+            self.churn_workload()?
         } else {
             self.bench.instantiate()
         };
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed)
-            .clean_shutdown()
-            .metrics();
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
+        let out = drive(
+            workload.as_mut(),
+            &self.driver_params().clean_shutdown().metrics(),
+        );
         let snapshot = out.ctx.metrics_snapshot();
         let hs = out.ctx.heap_state();
         let pools = (0..hs.pool_count())
@@ -691,519 +211,28 @@ impl Experiment {
         })
     }
 
-    /// Runs the allocator leak smoke — the backend of `swctl heap
-    /// --verify` and the CI allocator stage. The cell's churn workload
-    /// runs to a crash; each of `rounds` sampled crash states must:
-    ///
-    /// * pass `Strict` recovery (false-positive control: natural crash
-    ///   damage never looks like corruption);
-    /// * rebuild every heap pool undamaged from its PM metadata;
-    /// * hold **no use-after-free**: every block reachable from the
-    ///   workload's persistent roots is live in the rebuilt allocator;
-    /// * reach **zero leaks** after reclamation: every live dynamic block
-    ///   left unreachable by the crash (an allocation whose publishing
-    ///   store never persisted) is reclaimed, deterministically so (a
-    ///   second rebuild + reclaim finds the identical set).
-    pub fn run_heap_smoke(&self, rounds: usize) -> Result<HeapSmokeReport, String> {
-        use sw_pmem::BlockKind;
-        let mut workload = self.bench.instantiate_churn().ok_or_else(|| {
+    /// The driver parameters of this cell: the one place an experiment's
+    /// scale, seed and logging strategy become a workload run.
+    pub fn driver_params(&self) -> DriverParams {
+        let mut params = DriverParams::new(self.design, self.lang)
+            .threads(self.threads)
+            .total_regions(self.total_regions)
+            .ops_per_region(self.ops_per_region)
+            .seed(self.seed);
+        params.strategy = self.strategy;
+        params
+    }
+
+    /// The allocator-churn variant of this cell's benchmark (an error names
+    /// the benchmark if it has none).
+    pub(crate) fn churn_workload(&self) -> Result<Box<dyn Workload>, String> {
+        self.bench.instantiate_churn().ok_or_else(|| {
             format!(
                 "benchmark {} has no allocator-churn mode (churn: hashmap, nstore-*)",
                 self.bench
             )
-        })?;
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
-        let layout = &out.layout;
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x4eaf);
-        let fail = |round: usize, e: String| self.campaign_failure("heap", rounds, round, e);
-
-        let mut reclaimed_blocks = 0u64;
-        let mut rounds_with_leaks = 0usize;
-        let mut rooted_blocks = 0u64;
-        for round in 0..rounds {
-            let (crash, _) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
-            let mut image = crash.clone();
-            recover_with_policy(&mut image, layout, RecoveryPolicy::Strict).map_err(|e| {
-                fail(
-                    round,
-                    format!("strict false positive on a natural crash image: {e}"),
-                )
-            })?;
-            let (mut hs, rec) = sw_lang::HeapState::rebuild(&image, layout);
-            let damaged = rec.damaged_pools();
-            if !damaged.is_empty() {
-                return Err(fail(
-                    round,
-                    format!("natural crash image damaged heap pools {damaged:?}"),
-                ));
-            }
-            let roots = workload.heap_roots(&image);
-            let live: std::collections::HashSet<u64> = (0..hs.pool_count())
-                .flat_map(|p| {
-                    hs.pool(p)
-                        .live_blocks()
-                        .map(|(off, _, _)| layout.pool_line_addr(p, off).raw())
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            for r in &roots {
-                if !live.contains(&r.raw()) {
-                    return Err(fail(
-                        round,
-                        format!(
-                            "use-after-free: rooted block {:#x} is not live in the \
-                             rebuilt allocator",
-                            r.raw()
-                        ),
-                    ));
-                }
-            }
-            let reclaimed = hs.reclaim_unreachable(layout, &roots);
-            // Zero leaks and exact accounting after reclamation.
-            let rooted: std::collections::HashSet<u64> = roots.iter().map(|a| a.raw()).collect();
-            for p in 0..hs.pool_count() {
-                let leaked = hs
-                    .pool(p)
-                    .live_blocks()
-                    .filter(|&(off, _, kind)| {
-                        kind == BlockKind::Dynamic
-                            && !rooted.contains(&layout.pool_line_addr(p, off).raw())
-                    })
-                    .count();
-                if leaked != 0 {
-                    return Err(fail(
-                        round,
-                        format!("pool {p} still leaks {leaked} blocks after reclamation"),
-                    ));
-                }
-                if !hs.pool(p).accounting_exact() {
-                    return Err(fail(
-                        round,
-                        format!("pool {p} accounting does not balance after reclamation"),
-                    ));
-                }
-            }
-            // Reclamation is volatile-only, so it must be reproducible
-            // from the same image.
-            let (mut hs2, _) = sw_lang::HeapState::rebuild(&image, layout);
-            let again = hs2.reclaim_unreachable(layout, &roots);
-            if again != reclaimed {
-                return Err(fail(
-                    round,
-                    format!("reclamation is not deterministic: {reclaimed:?} then {again:?}"),
-                ));
-            }
-            reclaimed_blocks += reclaimed.len() as u64;
-            rounds_with_leaks += usize::from(!reclaimed.is_empty());
-            rooted_blocks += roots.len() as u64;
-        }
-        Ok(HeapSmokeReport {
-            rounds,
-            reclaimed_blocks,
-            rounds_with_leaks,
-            rooted_blocks,
         })
     }
-
-    /// Single-threaded lowered probe workload under this cell's
-    /// `(design, lang, strategy)`: six regions of four stores each,
-    /// returning the formal PMO oracle, the per-thread ISA traces, and the
-    /// layout. The chaos campaign replays these traces with an online
-    /// device-fault schedule installed and checks the durable order the
-    /// faulted machine produced against the *same* oracle — a retry may
-    /// delay a persist but must never reorder it.
-    fn pmo_probe(&self) -> (Pmo, Vec<IsaTrace>, PmLayout) {
-        let layout = PmLayout::new(1, 512);
-        let heap = layout.heap_base();
-        let mut ctx = FuncCtx::new(layout.clone(), 1);
-        let mut cfg = RuntimeConfig::new(self.design, self.lang);
-        cfg.strategy = self.strategy;
-        let mut rt = ThreadRuntime::new(&layout, 0, cfg);
-        for r in 0..6u64 {
-            rt.region_begin(&mut ctx, &[LockId(0)]);
-            for k in 0..4u64 {
-                rt.store(&mut ctx, heap.offset_words((r * 4 + k) * 8), r * 10 + k);
-            }
-            rt.region_end(&mut ctx);
-        }
-        rt.shutdown(&mut ctx);
-        let pmo = Pmo::compute(&ctx.execution(), self.design.memory_model());
-        let traces = ctx.into_traces();
-        (pmo, traces, layout)
-    }
-
-    /// Runs the probe traces through the timing simulator, optionally with
-    /// an online fault schedule installed.
-    fn probe_run(
-        &self,
-        layout: &PmLayout,
-        traces: &[IsaTrace],
-        faults: Option<DeviceFaultSchedule>,
-    ) -> SimStats {
-        let mut cfg = self.sim.clone().with_cores(1);
-        if let Some(schedule) = faults {
-            cfg = cfg.with_device_faults(schedule);
-        }
-        Machine::new(cfg, self.design, layout.clone(), traces.to_vec()).run()
-    }
-
-    /// Runs the online-fault chaos campaign on this cell: `rounds` rounds
-    /// of randomized device faults × crash points × recovery policies.
-    ///
-    /// Each round, seeded from [`seed`](Experiment::seed):
-    ///
-    /// 1. **Online faults vs. the PMO oracle** — the single-threaded
-    ///    [probe](Self::pmo_probe) replays under a random
-    ///    [`DeviceFaultSchedule`] (transient write failures with retry,
-    ///    permanent media errors with remap, read poison). The faulted
-    ///    machine's durable line *set* must equal the fault-free run's (no
-    ///    write silently lost or invented) and its acceptance order must
-    ///    remain a linear extension of the formal PMO — retries delay,
-    ///    never reorder.
-    /// 2. **Crash × recovery** — a formally-sampled crash image (which
-    ///    includes images where a mid-retry persist never reached media:
-    ///    an un-acknowledged write is simply absent from the persisted
-    ///    set) must reconverge under interrupted-and-rerun `Strict`
-    ///    recovery; a copy with a freshly poisoned log line must
-    ///    reconverge under `Salvage`.
-    /// 3. **Remap-table crash consistency** — a standalone fault unit
-    ///    takes permanent errors, and its remap encoding cut at a random
-    ///    word (a crash mid-publication) must decode to a prefix of the
-    ///    full mapping — never a mix.
-    ///
-    /// Once per campaign, a poisoned heap line is armed for the
-    /// multi-threaded driven run: if a load consumes it, the
-    /// machine-check must abort the run under
-    /// [`RecoveryPolicy::Strict`] and quarantine exactly the faulting
-    /// thread under [`RecoveryPolicy::Salvage`].
-    ///
-    /// # Errors
-    ///
-    /// The first violation, with a copy-pasteable `swctl chaos` reproducer
-    /// (seed included) embedded.
-    pub fn run_chaos_campaign(&self, rounds: usize) -> Result<ChaosCampaignReport, String> {
-        if !self.lang.legal_on(self.design) {
-            return Err(format!(
-                "language model '{}' is not legal on design '{}'",
-                self.lang, self.design
-            ));
-        }
-        let fail = |round: usize, e: String| self.campaign_failure("chaos", rounds, round, e);
-
-        // Fault-free reference for the probe (the traces are identical in
-        // every round; only the fault schedule varies).
-        let (pmo, traces, probe_layout) = self.pmo_probe();
-        let clean = self.probe_run(&probe_layout, &traces, None);
-        let clean_set: BTreeSet<LineAddr> = clean.pm_write_order.iter().copied().collect();
-        let scale = clean.pm_write_order.len() as u64;
-
-        // The multi-threaded driven run for the crash/recovery legs.
-        let mut workload = self.bench.instantiate();
-        let mut params = DriverParams::new(self.design, self.lang)
-            .threads(self.threads)
-            .total_regions(self.total_regions)
-            .ops_per_region(self.ops_per_region)
-            .seed(self.seed);
-        params.strategy = self.strategy;
-        let out = drive(workload.as_mut(), &params);
-        let layout = &out.layout;
-
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xc4a0_5eed);
-        let mut online = OnlineFaultStats::default();
-        let mut pmo_edges_checked = 0usize;
-        let mut reconverged_strict = 0usize;
-        let mut reconverged_salvage = 0usize;
-        let mut remap_prefix_checks = 0usize;
-
-        for round in 0..rounds {
-            // --- Leg 1: online faults vs. the PMO oracle. ---
-            let round_seed = self
-                .seed
-                .wrapping_add((round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let schedule = DeviceFaultSchedule::random(round_seed, scale);
-            let faulted = self.probe_run(&probe_layout, &traces, Some(schedule));
-            let set: BTreeSet<LineAddr> = faulted.pm_write_order.iter().copied().collect();
-            if set != clean_set {
-                let missing: Vec<_> = clean_set.difference(&set).collect();
-                let extra: Vec<_> = set.difference(&clean_set).collect();
-                return Err(fail(
-                    round,
-                    format!(
-                        "silent corruption: persisted line set diverged under online \
-                         faults (missing {missing:?}, extra {extra:?})"
-                    ),
-                ));
-            }
-            pmo_edges_checked += order_extends_pmo(&pmo, &faulted.pm_write_order)
-                .map_err(|e| fail(round, format!("retried persist order: {e}")))?;
-            if let Some(s) = faulted.online_faults {
-                online.merge(&s);
-            }
-
-            // --- Leg 2: crash points × recovery policies. ---
-            let (crash, _persisted) = crash_image(&out.ctx, &out.baseline, self.design, &mut rng);
-            recovery_reconverges(&crash, layout, RecoveryPolicy::Strict, &mut rng)
-                .map_err(|e| fail(round, format!("strict reconvergence: {e}")))?;
-            reconverged_strict += 1;
-            let mut damaged = crash.clone();
-            let victim = rng.gen_range(0..self.threads);
-            let log_line = layout.log_region(victim).base.line().raw();
-            damaged.poison_line(LineAddr(log_line + 1 + rng.gen_range(0..4)));
-            recovery_reconverges(&damaged, layout, RecoveryPolicy::Salvage, &mut rng)
-                .map_err(|e| fail(round, format!("salvage reconvergence: {e}")))?;
-            reconverged_salvage += 1;
-
-            // --- Leg 3: remap-table crash-prefix consistency. ---
-            let mut sched = DeviceFaultSchedule::none();
-            for _ in 0..2 {
-                sched.faults.push(DeviceFault {
-                    class: DeviceFaultClass::PermanentMediaError,
-                    trigger: FaultTrigger::NthWrite(1 + rng.gen_range(0..12)),
-                    sticky: true,
-                });
-            }
-            let (spare_base, spare_count) = (sched.spare_base, sched.spare_count);
-            let mut unit = DeviceFaultUnit::new(sched);
-            for w in 0..24u64 {
-                let _ = unit.on_write(0x100 + w, (w + 1) * 8);
-            }
-            let full: Vec<_> = unit.remap_table().iter().collect();
-            let words = unit.remap_table().encode_words();
-            let cut = rng.gen_range(0..=words.len());
-            let decoded: Vec<_> = RemapTable::decode_words(&words[..cut], spare_base, spare_count)
-                .iter()
-                .collect();
-            if !full.starts_with(&decoded) {
-                return Err(fail(
-                    round,
-                    format!(
-                        "remap table torn at word {cut}/{} decoded to {decoded:?}, \
-                         not a prefix of {full:?}",
-                        words.len()
-                    ),
-                ));
-            }
-            remap_prefix_checks += 1;
-
-            // --- Leg 3b: spare exhaustion must surface, not saturate. ---
-            // A one-spare device taking two permanent errors: the second
-            // retirement must return the typed `RemapExhausted` outcome
-            // and count it, never park the line silently.
-            let mut tiny = DeviceFaultSchedule::none();
-            tiny.spare_count = 1;
-            for l in [0x200u64, 0x201] {
-                tiny.faults.push(DeviceFault {
-                    class: DeviceFaultClass::PermanentMediaError,
-                    trigger: FaultTrigger::OnLine(l),
-                    sticky: true,
-                });
-            }
-            let mut unit = DeviceFaultUnit::new(tiny);
-            if !matches!(
-                unit.on_write(0x200, 8),
-                WriteDecision::Proceed {
-                    remapped: Some((_, true)),
-                    ..
-                }
-            ) {
-                return Err(fail(
-                    round,
-                    "first retirement failed to consume the spare".into(),
-                ));
-            }
-            if !matches!(
-                unit.on_write(0x201, 16),
-                WriteDecision::RemapExhausted { line: 0x201 }
-            ) {
-                return Err(fail(
-                    round,
-                    "spare exhaustion saturated silently instead of surfacing \
-                     a RemapExhausted outcome"
-                        .into(),
-                ));
-            }
-            let exhausted = unit.stats();
-            if exhausted.spares_exhausted != 1 {
-                return Err(fail(
-                    round,
-                    format!(
-                        "spares_exhausted counted {} events, expected 1",
-                        exhausted.spares_exhausted
-                    ),
-                ));
-            }
-            online.spares_exhausted += exhausted.spares_exhausted;
-        }
-
-        // --- MCE leg: poisoned-read delivery under both policies. ---
-        let mce_line = layout.heap_base().line().raw();
-        let mut w_strict = self.bench.instantiate();
-        let strict_run = drive(
-            w_strict.as_mut(),
-            &params.mce(mce_line, RecoveryPolicy::Strict),
-        );
-        let mut w_salvage = self.bench.instantiate();
-        let salvage_run = drive(
-            w_salvage.as_mut(),
-            &params.mce(mce_line, RecoveryPolicy::Salvage),
-        );
-        let mce_fail = |e: String| self.campaign_failure("chaos", rounds, rounds, e);
-        if !strict_run.mce_events.is_empty() && !strict_run.aborted {
-            return Err(mce_fail(
-                "strict policy consumed a poisoned line without aborting".into(),
-            ));
-        }
-        if salvage_run.aborted {
-            return Err(mce_fail(
-                "salvage policy aborted instead of continuing".into(),
-            ));
-        }
-        for e in &salvage_run.mce_events {
-            if !salvage_run.quarantined.contains(&e.thread) {
-                return Err(mce_fail(format!(
-                    "salvage failed to quarantine thread {} after {e}",
-                    e.thread
-                )));
-            }
-        }
-
-        Ok(ChaosCampaignReport {
-            design: self.design,
-            lang: self.lang,
-            rounds,
-            online,
-            pmo_edges_checked,
-            reconverged_strict,
-            reconverged_salvage,
-            remap_prefix_checks,
-            mce_traps: strict_run.mce_events.len() + salvage_run.mce_events.len(),
-            mce_strict_aborted: strict_run.aborted,
-            mce_quarantined: salvage_run.quarantined.clone(),
-            silent_corruptions: 0,
-        })
-    }
-
-    /// The copy-pasteable `swctl` invocation replaying this cell exactly
-    /// (the seed pins workload generation, crash sampling, and fault
-    /// injection).
-    fn repro_cmd(&self, subcommand: &str, rounds: usize) -> String {
-        let redo = if matches!(self.strategy, LogStrategy::Redo) {
-            " --redo"
-        } else {
-            ""
-        };
-        format!(
-            "swctl {subcommand} {} --lang {} --design {} --threads {} --regions {} \
-             --ops {} --rounds {rounds} --seed {}{redo}",
-            self.bench,
-            self.lang,
-            self.design,
-            self.threads,
-            self.total_regions,
-            self.ops_per_region,
-            self.seed,
-        )
-    }
-
-    /// Formats a campaign failure with its minimal reproducer attached.
-    fn campaign_failure(
-        &self,
-        subcommand: &str,
-        rounds: usize,
-        round: usize,
-        detail: String,
-    ) -> String {
-        format!(
-            "round {round}: {detail}\n  seed {}: reproduce with `{}`",
-            self.seed,
-            self.repro_cmd(subcommand, rounds)
-        )
-    }
-}
-
-/// `true` when recovery's reported fault `d` is the campaign's injected
-/// fault `f`. Matching goes by the *resulting* slot state, not the
-/// injected class: a bit flip that lands next to a legitimately-zero
-/// payload word classifies — and is correctly reported — as a tear.
-fn fault_matches(f: &InjectedFault, d: &RecoveryFault) -> bool {
-    match (&f.resulting, d) {
-        (SlotState::Torn, RecoveryFault::TornEntry { tid, slot }) => {
-            *tid == f.tid && *slot == f.slot
-        }
-        (SlotState::Corrupt, RecoveryFault::ChecksumMismatch { tid, slot }) => {
-            *tid == f.tid && *slot == f.slot
-        }
-        (SlotState::Poisoned, RecoveryFault::PoisonedLine { tid, line }) => {
-            *tid == f.tid && *line == f.line
-        }
-        _ => false,
-    }
-}
-
-/// `true` when recovery's reported fault `d` is the heap campaign's
-/// injected allocator-metadata fault `f`. As with [`fault_matches`],
-/// matching goes by the *resulting* slot state: a bit flip that zeroes a
-/// word classifies — and is correctly reported — as a tear.
-fn heap_fault_matches(f: &InjectedHeapFault, d: &RecoveryFault) -> bool {
-    match (&f.resulting, d) {
-        (HeapSlotState::Torn, RecoveryFault::HeapTorn { pool, slot }) => {
-            *pool == f.pool && *slot == f.slot
-        }
-        (HeapSlotState::Corrupt, RecoveryFault::HeapCorrupt { pool, slot }) => {
-            *pool == f.pool && *slot == f.slot
-        }
-        (HeapSlotState::Poisoned, RecoveryFault::HeapPoisoned { pool, line }) => {
-            *pool == f.pool && *line == f.line
-        }
-        _ => false,
-    }
-}
-
-/// Checks that a machine's PM acceptance order respects every applicable
-/// transitive cross-line PMO edge. Only lines accepted exactly once map
-/// one-to-one onto formal stores (same-line stores share flushes), so
-/// edges touching multiply-accepted lines are skipped. Returns the number
-/// of edges verified; errors on the first violation.
-///
-/// Public so other harnesses (the `sw-serve` serving layer's mid-serve
-/// crash/recover legs) can hold their acceptance orders to the same
-/// linear-extension bar as the chaos campaign.
-pub fn order_extends_pmo(pmo: &Pmo, order: &[LineAddr]) -> Result<usize, String> {
-    let mut count = std::collections::HashMap::new();
-    let mut first_pos = std::collections::HashMap::new();
-    for (pos, line) in order.iter().enumerate() {
-        *count.entry(*line).or_insert(0usize) += 1;
-        first_pos.entry(*line).or_insert(pos);
-    }
-    let pos_of = |line: LineAddr| (count.get(&line) == Some(&1)).then(|| first_pos[&line]);
-    let mut checked = 0;
-    for i in 0..pmo.num_stores() {
-        for j in 0..pmo.num_stores() {
-            if i == j || !pmo.ordered_before(StoreId(i), StoreId(j)) {
-                continue;
-            }
-            let la = pmo.store(StoreId(i)).addr.line();
-            let lb = pmo.store(StoreId(j)).addr.line();
-            if la == lb {
-                continue;
-            }
-            if let (Some(pa), Some(pb)) = (pos_of(la), pos_of(lb)) {
-                if pa >= pb {
-                    return Err(format!(
-                        "PMO edge {la} -> {lb} violated by acceptance order ({pa} >= {pb})"
-                    ));
-                }
-                checked += 1;
-            }
-        }
-    }
-    Ok(checked)
 }
 
 /// What [`Experiment::run_chaos_campaign`] measured on one
@@ -1451,7 +480,7 @@ pub struct ClassTally {
 }
 
 /// What [`Experiment::run_fault_campaign`] measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultCampaignReport {
     /// Campaign rounds executed.
     pub rounds: usize,
@@ -1682,7 +711,7 @@ impl HeapReport {
 }
 
 /// What [`Experiment::run_heap_smoke`] measured — `swctl heap --verify`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapSmokeReport {
     /// Crash states audited.
     pub rounds: usize,
@@ -1800,6 +829,7 @@ pub fn host_is_multicore() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_faults::{DeviceFault, DeviceFaultClass, DeviceFaultSchedule, FaultTrigger};
 
     fn small(bench: BenchmarkId, lang: LangModel, design: HwDesign) -> Experiment {
         Experiment::new(bench, lang, design)
@@ -2142,14 +1172,68 @@ mod tests {
 
     #[test]
     fn chaos_failures_embed_a_reproducer() {
+        // Every campaign's reproducer names its own subcommand and switch:
+        // `faults` alone replays the log campaign, and `heap` without
+        // `--verify` runs the occupancy report instead of the smoke.
+        use crate::campaign::Kind;
         let e = small(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver).seed(123);
-        let msg = e.campaign_failure("chaos", 5, 2, "boom".into());
-        assert!(msg.contains("round 2: boom"), "{msg}");
-        assert!(
-            msg.contains("swctl chaos queue --lang txn --design strandweaver"),
-            "{msg}"
-        );
-        assert!(msg.contains("--rounds 5 --seed 123"), "{msg}");
+        for (kind, command) in [
+            (Kind::Crash, "swctl crash queue --lang"),
+            (Kind::Faults, "swctl faults queue --lang"),
+            (Kind::HeapFaults, "swctl faults queue --heap --lang"),
+            (Kind::HeapSmoke, "swctl heap queue --verify --lang"),
+            (Kind::Chaos, "swctl chaos queue --lang"),
+        ] {
+            let msg = e.campaign_failure(kind, 5, 2, "boom".into());
+            assert!(msg.starts_with("round 2: boom\n  seed 123: "), "{msg}");
+            let repro = format!(
+                "`{command} txn --design strandweaver --threads 2 --regions 24 --ops 4 \
+                 --rounds 5 --seed 123`"
+            );
+            assert!(msg.ends_with(&repro), "{kind:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn fault_campaign_reports_do_not_depend_on_tracing() {
+        // The traced injection and salvage paths of both sites must leave
+        // every tally unchanged, and the heap site emits one
+        // `fault_injected` event (pool-owned, heap-labelled) per injection.
+        for heap in [false, true] {
+            let run = |e: Experiment| {
+                if heap {
+                    e.run_heap_fault_campaign(6)
+                } else {
+                    e.run_fault_campaign(6)
+                }
+                .expect("campaign")
+            };
+            let cell = || small(BenchmarkId::Queue, LangModel::Txn, HwDesign::StrandWeaver).seed(5);
+            let rec = sw_trace::RingRecorder::new(1 << 16);
+            let plain = run(cell());
+            let traced = run(cell().traced(rec.clone()));
+            assert_eq!(plain.to_json().render(), traced.to_json().render());
+            assert!(traced.injected() > 0);
+            if heap {
+                let injections: Vec<_> = rec
+                    .events()
+                    .into_iter()
+                    .filter_map(|e| match e.event {
+                        sw_trace::TraceEvent::FaultInjected { thread, class, .. } => {
+                            Some((thread, class))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(injections.len(), traced.injected());
+                assert!(
+                    injections
+                        .iter()
+                        .all(|&(t, c)| t == u32::MAX && c.starts_with("heap-")),
+                    "{injections:?}"
+                );
+            }
+        }
     }
 
     #[test]

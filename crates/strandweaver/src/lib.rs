@@ -25,6 +25,8 @@
 //! * [`workloads`] (`sw-workloads`) — the Table II benchmarks.
 //! * [`experiment`] — the end-to-end runner used by the benchmark harness
 //!   to regenerate every table and figure.
+//! * [`campaign`] — the campaign engine: crash, fault, heap and chaos
+//!   campaigns composed from shared legs.
 //!
 //! # Quickstart
 //!
@@ -45,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod campaign;
 pub mod experiment;
 pub mod pds;
 
