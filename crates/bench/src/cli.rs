@@ -14,6 +14,7 @@
 //! the full usage text before exiting 2.
 
 use strandweaver::{BenchmarkId, HwDesign, LangModel};
+use sw_trace::json::{FromJson, Json};
 
 use crate::Scale;
 
@@ -35,29 +36,14 @@ impl CliError {
 
 /// Resolves a benchmark label.
 pub fn parse_bench(s: &str) -> Option<BenchmarkId> {
-    BenchmarkId::ALL.into_iter().find(|b| b.label() == s)
+    sw_trace::json::from_label(s)
 }
 
-/// Resolves a `--design` value with a named error (not the generic usage
-/// text) on an unknown label.
-pub fn parse_design(s: &str) -> Result<HwDesign, CliError> {
-    HwDesign::from_label(s).ok_or_else(|| {
-        CliError::msg(format!(
-            "unknown design '{s}' (valid: {})",
-            HwDesign::ALL.map(|d| d.label()).join(" ")
-        ))
-    })
-}
-
-/// Resolves a `--lang` value with a named error (not the generic usage
-/// text) on an unknown label.
-pub fn parse_lang(s: &str) -> Result<LangModel, CliError> {
-    LangModel::from_label(s).ok_or_else(|| {
-        CliError::msg(format!(
-            "unknown lang '{s}' (valid: {})",
-            LangModel::ALL.map(|l| l.label()).join(" ")
-        ))
-    })
+/// Resolves a label-valued flag (`--design`, `--lang`, `--arrival`, ...)
+/// with a named error listing the valid labels (not the generic usage
+/// text) on an unknown one.
+pub fn parse_label<T: FromJson>(s: &str) -> Result<T, CliError> {
+    T::from_json(&Json::Str(s.to_string())).map_err(CliError::Message)
 }
 
 /// Rejects an illegal language model × hardware design combination (the
@@ -106,7 +92,8 @@ pub struct Flags {
     pub seed: Option<u64>,
 }
 
-fn next_value<'a>(
+/// The value after flag `name`, or the named "needs a value" error.
+pub fn next_value<'a>(
     it: &mut std::slice::Iter<'a, String>,
     name: &str,
 ) -> Result<&'a String, CliError> {
@@ -142,8 +129,8 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--lang" => f.lang = parse_lang(next_value(&mut it, "--lang")?)?,
-            "--design" => f.design = parse_design(next_value(&mut it, "--design")?)?,
+            "--lang" => f.lang = parse_label(next_value(&mut it, "--lang")?)?,
+            "--design" => f.design = parse_label(next_value(&mut it, "--design")?)?,
             "--redo" => f.redo = true,
             "--stats" => f.stats = true,
             "--json" => f.json = true,
@@ -255,9 +242,9 @@ mod tests {
 
     #[test]
     fn unknown_lang_and_design_name_their_valid_sets() {
-        let e = parse_lang("pascal").unwrap_err();
+        let e = parse_label::<LangModel>("pascal").unwrap_err();
         assert!(matches!(e, CliError::Message(m) if m.contains("valid:")));
-        let e = parse_design("vax").unwrap_err();
+        let e = parse_label::<HwDesign>("vax").unwrap_err();
         assert!(matches!(e, CliError::Message(m) if m.contains("valid:")));
     }
 

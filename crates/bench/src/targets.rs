@@ -16,7 +16,7 @@
 //! subcommand arms did before this module existed.
 
 use strandweaver::{HwDesign, LangModel};
-use sw_trace::Json;
+use sw_trace::json::{Field, Json, ToJson};
 
 use crate::Scale;
 
@@ -174,7 +174,7 @@ impl Target {
                 let rows = crate::table2(scale);
                 TargetOutput {
                     text: crate::table2_report(&rows),
-                    json: Some(crate::table2_json(&rows)),
+                    json: Some(Field("rows", &rows).to_json()),
                     events_processed: rows.iter().map(|r| r.events_processed).sum(),
                     sim_cycles: rows.iter().map(|r| r.cycles).sum(),
                 }
@@ -188,7 +188,7 @@ impl Target {
                 };
                 TargetOutput {
                     text,
-                    json: Some(crate::sweep_json(&cells)),
+                    json: Some(Field("cells", &cells).to_json()),
                     events_processed: cells.iter().map(crate::SweepCell::events_processed).sum(),
                     sim_cycles: cells.iter().map(crate::SweepCell::sim_cycles).sum(),
                 }

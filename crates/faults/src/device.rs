@@ -256,6 +256,13 @@ impl OnlineFaultStats {
     }
 }
 
+/// The JSON form is the [`entries`](OnlineFaultStats::entries) object.
+impl sw_trace::ToJson for OnlineFaultStats {
+    fn to_json(&self) -> sw_trace::Json {
+        self.entries().as_slice().to_json()
+    }
+}
+
 /// Per-line retry episode state.
 #[derive(Debug, Clone, Copy)]
 struct RetryState {

@@ -113,6 +113,8 @@ impl FaultClass {
     }
 }
 
+sw_trace::json_label!(FaultClass: "fault class");
+
 /// What to inject on each [`FaultInjector::inject`] call: one fault per
 /// listed class, each into a distinct published log slot.
 #[derive(Debug, Clone, PartialEq, Eq)]

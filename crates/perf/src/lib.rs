@@ -31,8 +31,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use sw_trace::Json;
-
 /// One instrumented phase of the simulator's per-cycle event loop.
 ///
 /// The slots mirror the statement order of `Machine::tick`: the PM
@@ -188,6 +186,22 @@ pub struct PhaseStat {
     pub calls: u64,
 }
 
+/// One phase's attribution with its share of the attributed time (the
+/// `phases` rows of a profile's JSON and of `BENCH_*.json`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseShare {
+    /// Phase label (`engine`, `frontend`, ...).
+    pub phase: String,
+    /// Nanoseconds attributed to the phase.
+    pub nanos: u64,
+    /// Boundary crossings recorded for the phase.
+    pub calls: u64,
+    /// Percentage of all attributed time.
+    pub pct: f64,
+}
+
+sw_trace::json_record!(ToJson + FromJson for PhaseShare { phase, nanos, calls, pct });
+
 /// A frozen profile: run wall time plus the per-phase breakdown.
 ///
 /// Derives `Eq` so `SimStats` (which embeds it) can keep deriving `Eq`.
@@ -257,28 +271,17 @@ impl PerfSnapshot {
         }
     }
 
-    /// JSON object: `{"wall_nanos":…,"phases":[{"phase":…,"nanos":…,
-    /// "calls":…,"pct":…},…]}`.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("wall_nanos".to_string(), Json::U64(self.wall_nanos)),
-            (
-                "phases".to_string(),
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("phase".to_string(), Json::Str(p.phase.to_string())),
-                                ("nanos".to_string(), Json::U64(p.nanos)),
-                                ("calls".to_string(), Json::U64(p.calls)),
-                                ("pct".to_string(), Json::F64(self.pct(p.phase))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// Every phase with its share of the attributed time, in order.
+    pub fn shares(&self) -> Vec<PhaseShare> {
+        self.phases
+            .iter()
+            .map(|p| PhaseShare {
+                phase: p.phase.to_string(),
+                nanos: p.nanos,
+                calls: p.calls,
+                pct: self.pct(p.phase),
+            })
+            .collect()
     }
 
     /// Fixed-width table of the per-phase breakdown.
@@ -306,6 +309,12 @@ impl PerfSnapshot {
         out
     }
 }
+
+// `{"wall_nanos":…,"phases":[{"phase":…,"nanos":…,"calls":…,"pct":…},…]}`.
+sw_trace::json_record!(ToJson for PerfSnapshot {
+    wall_nanos,
+    phases => PerfSnapshot::shares,
+});
 
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
 static GLOBAL_AGGREGATE: Mutex<Option<PerfSnapshot>> = Mutex::new(None);
@@ -342,6 +351,7 @@ pub fn global_take() -> PerfSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_trace::{Json, ToJson};
 
     #[test]
     fn phase_labels_are_unique() {

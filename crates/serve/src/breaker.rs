@@ -27,6 +27,13 @@ pub enum BreakerState {
 }
 
 impl BreakerState {
+    /// All states, in transition order.
+    pub const ALL: [BreakerState; 3] = [
+        BreakerState::Closed,
+        BreakerState::Open,
+        BreakerState::HalfOpen,
+    ];
+
     /// Short stable label used in reports and JSON.
     pub fn label(self) -> &'static str {
         match self {
@@ -36,6 +43,8 @@ impl BreakerState {
         }
     }
 }
+
+strandweaver::trace::json_label!(BreakerState: "breaker state");
 
 impl fmt::Display for BreakerState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

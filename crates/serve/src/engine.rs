@@ -523,7 +523,9 @@ pub fn serve_cell(cfg: &ServeConfig) -> Result<ServeCellReport, String> {
         p99: latency.quantile(0.99),
         p999: latency.quantile(0.999),
         max_latency: latency.max,
-        latency,
+        latency_buckets: latency.buckets,
+        latency_count: latency.count,
+        latency_sum: latency.sum,
         shards: shard_reports,
         events_processed: calib.events.total(),
         sim_cycles: calib.cycles,

@@ -77,12 +77,9 @@ impl ArrivalKind {
             ArrivalKind::Bursty => "bursty",
         }
     }
-
-    /// Resolves a CLI label.
-    pub fn from_label(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.label() == s)
-    }
 }
+
+strandweaver::trace::json_label!(ArrivalKind: "arrival", ShedPolicy: "shed policy");
 
 impl fmt::Display for ArrivalKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -122,11 +119,6 @@ impl ShedPolicy {
             ShedPolicy::DeadlineShed => "deadline",
             ShedPolicy::TokenBucket => "token-bucket",
         }
-    }
-
-    /// Resolves a CLI label.
-    pub fn from_label(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.label() == s)
     }
 }
 

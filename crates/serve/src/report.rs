@@ -1,8 +1,8 @@
-//! Serving reports: per-(design × lang) SLO accounting with render,
-//! JSON export, and a strict JSON parser for round-trip validation.
+//! Serving reports: per-(design × lang) SLO accounting with render and
+//! one JSON record declaration per report for export and the strict
+//! round-trip parser.
 
-use strandweaver::trace::json::{self, Json};
-use strandweaver::trace::HistogramSnapshot;
+use strandweaver::trace::json::{self, Json, ToJson};
 use strandweaver::{BenchmarkId, HwDesign, LangModel};
 
 use crate::breaker::BreakerState;
@@ -83,8 +83,13 @@ pub struct ServeCellReport {
     pub p999: u64,
     /// Worst completion latency in cycles.
     pub max_latency: u64,
-    /// The full power-of-two latency histogram.
-    pub latency: HistogramSnapshot,
+    /// Power-of-two latency histogram buckets (bucket `i` covers
+    /// `[2^i, 2^(i+1))`; see `HistogramSnapshot`).
+    pub latency_buckets: Vec<u64>,
+    /// Completions the latency histogram counted.
+    pub latency_count: u64,
+    /// Sum of completion latencies in cycles.
+    pub latency_sum: u64,
     /// Per-shard records.
     pub shards: Vec<ShardReport>,
     /// Discrete events the calibration simulation processed.
@@ -203,27 +208,7 @@ impl ServeReport {
 
     /// Machine-readable JSON document.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("bench", Json::Str(self.bench.label().to_string())),
-            ("seed", Json::U64(self.seed)),
-            ("shards", Json::U64(self.shards as u64)),
-            ("requests", Json::U64(self.requests)),
-            ("queue_depth", Json::U64(self.queue_depth as u64)),
-            ("deadline_factor", Json::U64(self.deadline_factor)),
-            ("arrival", Json::Str(self.arrival.label().to_string())),
-            (
-                "shed_policy",
-                Json::Str(self.shed_policy.label().to_string()),
-            ),
-            ("faults", Json::Bool(self.faults)),
-            ("breaker_trips", Json::U64(self.breaker_trips())),
-            ("failovers", Json::U64(self.failovers())),
-            ("silent_corruptions", Json::U64(self.silent_corruptions())),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(cell_json).collect()),
-            ),
-        ])
+        ToJson::to_json(self)
     }
 
     /// Parses a JSON document produced by [`to_json`](Self::to_json).
@@ -236,206 +221,67 @@ impl ServeReport {
     ///
     /// A description of the first malformed or missing field.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| format!("serve report JSON: {e}"))?;
-        let bench_label = str_field(&doc, "bench")?;
-        let bench = BenchmarkId::ALL
-            .into_iter()
-            .find(|b| b.label() == bench_label)
-            .ok_or_else(|| format!("unknown bench '{bench_label}'"))?;
-        let arrival_label = str_field(&doc, "arrival")?;
-        let arrival = ArrivalKind::from_label(&arrival_label)
-            .ok_or_else(|| format!("unknown arrival '{arrival_label}'"))?;
-        let shed_label = str_field(&doc, "shed_policy")?;
-        let shed_policy = ShedPolicy::from_label(&shed_label)
-            .ok_or_else(|| format!("unknown shed policy '{shed_label}'"))?;
-        let cells = doc
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("missing cells array")?
-            .iter()
-            .map(parse_cell)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServeReport {
-            bench,
-            seed: u64_field(&doc, "seed")?,
-            shards: u64_field(&doc, "shards")? as usize,
-            requests: u64_field(&doc, "requests")?,
-            queue_depth: u64_field(&doc, "queue_depth")? as usize,
-            deadline_factor: u64_field(&doc, "deadline_factor")?,
-            arrival,
-            shed_policy,
-            faults: bool_field(&doc, "faults")?,
-            cells,
-        })
+        json::from_str(text).map_err(|e| format!("serve report JSON: {e}"))
     }
 }
 
-fn cell_json(c: &ServeCellReport) -> Json {
-    Json::obj([
-        ("design", Json::Str(c.design.label().to_string())),
-        ("lang", Json::Str(c.lang.label().to_string())),
-        ("offered_load", Json::F64(c.offered_load)),
-        ("service_cycles", Json::U64(c.service_cycles)),
-        ("offered", Json::U64(c.offered)),
-        ("completed", Json::U64(c.completed)),
-        ("shed", Json::U64(c.shed)),
-        ("timeouts", Json::U64(c.timeouts)),
-        ("unavailable", Json::U64(c.unavailable)),
-        ("failed", Json::U64(c.failed)),
-        ("retries", Json::U64(c.retries)),
-        ("poisoned_reads", Json::U64(c.poisoned_reads)),
-        ("breaker_trips", Json::U64(c.breaker_trips)),
-        ("failovers", Json::U64(c.failovers)),
-        ("failover_redirects", Json::U64(c.failover_redirects)),
-        ("recovery_legs", Json::U64(c.recovery_legs)),
-        ("durable_set_checks", Json::U64(c.durable_set_checks)),
-        ("pmo_edges_checked", Json::U64(c.pmo_edges_checked)),
-        ("reconverged_strict", Json::U64(c.reconverged_strict)),
-        ("reconverged_salvage", Json::U64(c.reconverged_salvage)),
-        ("silent_corruptions", Json::U64(c.silent_corruptions)),
-        ("p50", Json::U64(c.p50)),
-        ("p99", Json::U64(c.p99)),
-        ("p999", Json::U64(c.p999)),
-        ("max_latency", Json::U64(c.max_latency)),
-        (
-            "latency_buckets",
-            Json::Arr(c.latency.buckets.iter().map(|&b| Json::U64(b)).collect()),
-        ),
-        ("latency_count", Json::U64(c.latency.count)),
-        ("latency_sum", Json::U64(c.latency.sum)),
-        (
-            "shards",
-            Json::Arr(
-                c.shards
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("shard", Json::U64(s.shard as u64)),
-                            ("state", Json::Str(s.state.label().to_string())),
-                            ("served", Json::U64(s.served)),
-                            ("shed", Json::U64(s.shed)),
-                            ("unavailable", Json::U64(s.unavailable)),
-                            ("trips", Json::U64(s.trips)),
-                            ("failed_over", Json::Bool(s.failed_over)),
-                            ("recovered", Json::U64(s.recovered)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("events_processed", Json::U64(c.events_processed)),
-        ("sim_cycles", Json::U64(c.sim_cycles)),
-    ])
-}
+strandweaver::trace::json_record!(ToJson + FromJson for ServeReport {
+    bench,
+    seed,
+    shards,
+    requests,
+    queue_depth,
+    deadline_factor,
+    arrival,
+    shed_policy,
+    faults,
+    breaker_trips => ServeReport::breaker_trips,
+    failovers => ServeReport::failovers,
+    silent_corruptions => ServeReport::silent_corruptions,
+    cells,
+});
 
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
+strandweaver::trace::json_record!(ToJson + FromJson for ServeCellReport {
+    design,
+    lang,
+    offered_load,
+    service_cycles,
+    offered,
+    completed,
+    shed,
+    timeouts,
+    unavailable,
+    failed,
+    retries,
+    poisoned_reads,
+    breaker_trips,
+    failovers,
+    failover_redirects,
+    recovery_legs,
+    durable_set_checks,
+    pmo_edges_checked,
+    reconverged_strict,
+    reconverged_salvage,
+    silent_corruptions,
+    p50,
+    p99,
+    p999,
+    max_latency,
+    latency_buckets,
+    latency_count,
+    latency_sum,
+    shards,
+    events_processed,
+    sim_cycles,
+});
 
-fn str_field(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
-    match doc.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-bool field '{key}'")),
-    }
-}
-
-fn f64_field(doc: &Json, key: &str) -> Result<f64, String> {
-    match doc.get(key) {
-        Some(Json::F64(f)) => Ok(*f),
-        Some(Json::U64(n)) => Ok(*n as f64),
-        _ => Err(format!("missing or non-number field '{key}'")),
-    }
-}
-
-fn breaker_state(label: &str) -> Result<BreakerState, String> {
-    [
-        BreakerState::Closed,
-        BreakerState::Open,
-        BreakerState::HalfOpen,
-    ]
-    .into_iter()
-    .find(|s| s.label() == label)
-    .ok_or_else(|| format!("unknown breaker state '{label}'"))
-}
-
-fn parse_cell(cell: &Json) -> Result<ServeCellReport, String> {
-    let design_label = str_field(cell, "design")?;
-    let design = HwDesign::from_label(&design_label)
-        .ok_or_else(|| format!("unknown design '{design_label}'"))?;
-    let lang_label = str_field(cell, "lang")?;
-    let lang =
-        LangModel::from_label(&lang_label).ok_or_else(|| format!("unknown lang '{lang_label}'"))?;
-    let buckets = cell
-        .get("latency_buckets")
-        .and_then(Json::as_arr)
-        .ok_or("missing latency_buckets")?
-        .iter()
-        .map(|b| b.as_u64().ok_or("non-integer latency bucket".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let max_latency = u64_field(cell, "max_latency")?;
-    let latency = HistogramSnapshot {
-        name: "serve.latency_cycles".to_string(),
-        buckets,
-        count: u64_field(cell, "latency_count")?,
-        sum: u64_field(cell, "latency_sum")?,
-        max: max_latency,
-    };
-    let shards = cell
-        .get("shards")
-        .and_then(Json::as_arr)
-        .ok_or("missing shards array")?
-        .iter()
-        .map(|s| {
-            Ok(ShardReport {
-                shard: u64_field(s, "shard")? as usize,
-                state: breaker_state(&str_field(s, "state")?)?,
-                served: u64_field(s, "served")?,
-                shed: u64_field(s, "shed")?,
-                unavailable: u64_field(s, "unavailable")?,
-                trips: u64_field(s, "trips")?,
-                failed_over: bool_field(s, "failed_over")?,
-                recovered: u64_field(s, "recovered")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(ServeCellReport {
-        design,
-        lang,
-        offered_load: f64_field(cell, "offered_load")?,
-        service_cycles: u64_field(cell, "service_cycles")?,
-        offered: u64_field(cell, "offered")?,
-        completed: u64_field(cell, "completed")?,
-        shed: u64_field(cell, "shed")?,
-        timeouts: u64_field(cell, "timeouts")?,
-        unavailable: u64_field(cell, "unavailable")?,
-        failed: u64_field(cell, "failed")?,
-        retries: u64_field(cell, "retries")?,
-        poisoned_reads: u64_field(cell, "poisoned_reads")?,
-        breaker_trips: u64_field(cell, "breaker_trips")?,
-        failovers: u64_field(cell, "failovers")?,
-        failover_redirects: u64_field(cell, "failover_redirects")?,
-        recovery_legs: u64_field(cell, "recovery_legs")?,
-        durable_set_checks: u64_field(cell, "durable_set_checks")?,
-        pmo_edges_checked: u64_field(cell, "pmo_edges_checked")?,
-        reconverged_strict: u64_field(cell, "reconverged_strict")?,
-        reconverged_salvage: u64_field(cell, "reconverged_salvage")?,
-        silent_corruptions: u64_field(cell, "silent_corruptions")?,
-        p50: u64_field(cell, "p50")?,
-        p99: u64_field(cell, "p99")?,
-        p999: u64_field(cell, "p999")?,
-        max_latency,
-        latency,
-        shards,
-        events_processed: u64_field(cell, "events_processed")?,
-        sim_cycles: u64_field(cell, "sim_cycles")?,
-    })
-}
+strandweaver::trace::json_record!(ToJson + FromJson for ShardReport {
+    shard,
+    state,
+    served,
+    shed,
+    unavailable,
+    trips,
+    failed_over,
+    recovered,
+});

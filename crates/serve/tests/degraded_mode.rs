@@ -67,7 +67,7 @@ fn degraded_mode_trips_fails_over_and_recovers() {
     assert_eq!(cell.silent_corruptions, 0);
 
     // SLO accounting is sane: quantiles come off a populated histogram.
-    assert!(cell.latency.count == cell.completed);
+    assert!(cell.latency_count == cell.completed);
     assert!(cell.p50 <= cell.p99 && cell.p99 <= cell.p999);
     assert!(cell.p999 <= cell.max_latency.next_power_of_two());
 }
@@ -134,4 +134,32 @@ fn json_round_trips_byte_identical() {
     let parsed = ServeReport::parse(&rendered).expect("parse back");
     assert_eq!(parsed, report);
     assert_eq!(parsed.to_json().render(), rendered);
+}
+
+/// A malformed report's parse error names the key at fault.
+#[test]
+fn parse_errors_name_the_missing_or_ill_typed_key() {
+    let mut cfg = base_cfg();
+    cfg.requests = 50;
+    let report = serve_report(&cfg).expect("serve invariants hold");
+    let rendered = report.to_json().render();
+    let missing = rendered.replacen("\"p99\":", "\"p98\":", 1);
+    assert_eq!(
+        ServeReport::parse(&missing).unwrap_err(),
+        "serve report JSON: field 'cells': item 0: missing field 'p99'"
+    );
+    let ill_typed = rendered.replacen("\"state\":\"", "\"state\":\"x", 1);
+    let err = ServeReport::parse(&ill_typed).unwrap_err();
+    assert!(
+        err.starts_with(
+            "serve report JSON: field 'cells': item 0: field 'shards': item 0: \
+             field 'state': unknown breaker state 'x"
+        ),
+        "{err}"
+    );
+    let ill_typed = rendered.replacen("\"faults\":true", "\"faults\":1", 1);
+    assert_eq!(
+        ServeReport::parse(&ill_typed).unwrap_err(),
+        "serve report JSON: field 'faults': expected bool, found 1"
+    );
 }

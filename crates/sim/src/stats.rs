@@ -2,7 +2,7 @@
 
 use sw_faults::OnlineFaultStats;
 use sw_perf::PerfSnapshot;
-use sw_trace::{Json, MetricsSnapshot, StallKind};
+use sw_trace::{Json, MetricsSnapshot, StallKind, ToJson};
 
 /// Why a core could not issue in a given cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,25 +130,6 @@ impl CoreStats {
             StallCause::RetryWait => self.stall_retry_wait,
         }
     }
-
-    /// JSON object with every counter.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("ops", Json::U64(self.ops)),
-            ("loads", Json::U64(self.loads)),
-            ("stores", Json::U64(self.stores)),
-            ("clwbs", Json::U64(self.clwbs)),
-            ("fences", Json::U64(self.fences)),
-            ("stall_fence", Json::U64(self.stall_fence)),
-            ("stall_sq_full", Json::U64(self.stall_sq_full)),
-            ("stall_pq_full", Json::U64(self.stall_pq_full)),
-            ("stall_lock", Json::U64(self.stall_lock)),
-            ("stall_pm_wq_full", Json::U64(self.stall_pm_wq_full)),
-            ("stall_retry_wait", Json::U64(self.stall_retry_wait)),
-            ("mem_busy", Json::U64(self.mem_busy)),
-            ("done_cycle", Json::U64(self.done_cycle)),
-        ])
-    }
 }
 
 /// Discrete-event totals for one simulation run.
@@ -191,19 +172,6 @@ impl EventCounts {
             + self.pm_writes
             + self.persists_visible
             + self.steals
-    }
-
-    /// JSON object with every counter (explicit zeros included).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("frontend_ops", Json::U64(self.frontend_ops)),
-            ("store_retires", Json::U64(self.store_retires)),
-            ("pq_events", Json::U64(self.pq_events)),
-            ("sb_enqueues", Json::U64(self.sb_enqueues)),
-            ("pm_writes", Json::U64(self.pm_writes)),
-            ("persists_visible", Json::U64(self.persists_visible)),
-            ("steals", Json::U64(self.steals)),
-        ])
     }
 }
 
@@ -270,51 +238,10 @@ impl SimStats {
     /// Serializes the whole run — totals, per-core counters, event
     /// accounting, and the metrics-registry snapshot — as a JSON object
     /// (`swctl run --json`). A `perf` section appears only when the run
-    /// was profiled.
+    /// was profiled, an `online_faults` section only when it had a device
+    /// fault schedule.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("cycles".to_string(), Json::U64(self.cycles)),
-            (
-                "pm_writes".to_string(),
-                Json::U64(self.pm_write_order.len() as u64),
-            ),
-            ("total_clwbs".to_string(), Json::U64(self.total_clwbs())),
-            ("ckc".to_string(), Json::F64(self.ckc())),
-            (
-                "persist_stall_cycles".to_string(),
-                Json::U64(self.persist_stall_cycles()),
-            ),
-            (
-                "lock_stall_cycles".to_string(),
-                Json::U64(self.lock_stall_cycles()),
-            ),
-            (
-                "events_processed".to_string(),
-                Json::U64(self.events.total()),
-            ),
-            ("events".to_string(), self.events.to_json()),
-            (
-                "cores".to_string(),
-                Json::Arr(self.cores.iter().map(CoreStats::to_json).collect()),
-            ),
-            ("metrics".to_string(), self.metrics.to_json()),
-        ];
-        if let Some(perf) = &self.perf {
-            fields.push(("perf".to_string(), perf.to_json()));
-        }
-        if let Some(faults) = &self.online_faults {
-            fields.push((
-                "online_faults".to_string(),
-                Json::Obj(
-                    faults
-                        .entries()
-                        .iter()
-                        .map(|&(k, v)| (k.to_string(), Json::U64(v)))
-                        .collect(),
-                ),
-            ));
-        }
-        Json::Obj(fields)
+        ToJson::to_json(self)
     }
 
     /// A gem5-style multi-line textual report of the run.
@@ -388,6 +315,47 @@ impl SimStats {
         s
     }
 }
+
+sw_trace::json_record!(ToJson for CoreStats {
+    ops,
+    loads,
+    stores,
+    clwbs,
+    fences,
+    stall_fence,
+    stall_sq_full,
+    stall_pq_full,
+    stall_lock,
+    stall_pm_wq_full,
+    stall_retry_wait,
+    mem_busy,
+    done_cycle,
+});
+
+sw_trace::json_record!(ToJson for EventCounts {
+    frontend_ops,
+    store_retires,
+    pq_events,
+    sb_enqueues,
+    pm_writes,
+    persists_visible,
+    steals,
+});
+
+sw_trace::json_record!(ToJson for SimStats {
+    cycles,
+    pm_writes => |s| s.pm_write_order.len(),
+    total_clwbs => SimStats::total_clwbs,
+    ckc => SimStats::ckc,
+    persist_stall_cycles => SimStats::persist_stall_cycles,
+    lock_stall_cycles => SimStats::lock_stall_cycles,
+    events_processed => |s| s.events.total(),
+    events,
+    cores,
+    metrics,
+    perf,
+    online_faults,
+});
 
 #[cfg(test)]
 mod tests {

@@ -6,6 +6,7 @@
 use sw_faults::{FaultClass, OnlineFaultStats};
 use sw_lang::{HwDesign, LangModel, LogStrategy};
 use sw_sim::{Machine, SimConfig, SimStats};
+use sw_trace::json::Prefixed;
 use sw_trace::MetricsSnapshot;
 use sw_workloads::driver::{drive, DriverParams};
 use sw_workloads::{BenchmarkId, Workload};
@@ -319,56 +320,22 @@ impl ChaosCampaignReport {
         );
         s
     }
-
-    /// Machine-readable form of the campaign report.
-    pub fn to_json(&self) -> sw_trace::Json {
-        use sw_trace::Json;
-        let online = Json::Obj(
-            self.online
-                .entries()
-                .iter()
-                .map(|&(k, v)| (format!("faults.online.{k}"), Json::U64(v)))
-                .collect(),
-        );
-        Json::obj([
-            ("design", Json::Str(self.design.to_string())),
-            ("lang", Json::Str(self.lang.to_string())),
-            ("rounds", Json::U64(self.rounds as u64)),
-            (
-                "silent_corruptions",
-                Json::U64(self.silent_corruptions as u64),
-            ),
-            ("online", online),
-            (
-                "pmo_edges_checked",
-                Json::U64(self.pmo_edges_checked as u64),
-            ),
-            (
-                "reconverged_strict",
-                Json::U64(self.reconverged_strict as u64),
-            ),
-            (
-                "reconverged_salvage",
-                Json::U64(self.reconverged_salvage as u64),
-            ),
-            (
-                "remap_prefix_checks",
-                Json::U64(self.remap_prefix_checks as u64),
-            ),
-            ("mce_traps", Json::U64(self.mce_traps as u64)),
-            ("mce_strict_aborted", Json::Bool(self.mce_strict_aborted)),
-            (
-                "mce_quarantined",
-                Json::Arr(
-                    self.mce_quarantined
-                        .iter()
-                        .map(|&t| Json::U64(t as u64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
+
+sw_trace::json_record!(ToJson for ChaosCampaignReport {
+    design,
+    lang,
+    rounds,
+    silent_corruptions,
+    online => |r| Prefixed("faults.online.", &r.online),
+    pmo_edges_checked,
+    reconverged_strict,
+    reconverged_salvage,
+    remap_prefix_checks,
+    mce_traps,
+    mce_strict_aborted,
+    mce_quarantined,
+});
 
 /// What [`chaos_sweep`] measured across every legal
 /// (design × language model) pair.
@@ -400,34 +367,13 @@ impl ChaosSweepReport {
         );
         s
     }
-
-    /// Machine-readable form of the sweep report.
-    pub fn to_json(&self) -> sw_trace::Json {
-        use sw_trace::Json;
-        Json::obj([
-            (
-                "cells",
-                Json::Arr(
-                    self.cells
-                        .iter()
-                        .map(ChaosCampaignReport::to_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "online",
-                Json::Obj(
-                    self.online
-                        .entries()
-                        .iter()
-                        .map(|&(k, v)| (format!("faults.online.{k}"), Json::U64(v)))
-                        .collect(),
-                ),
-            ),
-            ("silent_corruptions", Json::U64(0)),
-        ])
-    }
 }
+
+sw_trace::json_record!(ToJson for ChaosSweepReport {
+    cells,
+    online => |r| Prefixed("faults.online.", &r.online),
+    silent_corruptions => |_| 0u64,
+});
 
 /// Runs the chaos campaign on every legal (design × language model) pair
 /// at `scale`'s benchmark and sizes, then enforces the sweep-wide
@@ -559,41 +505,29 @@ impl FaultCampaignReport {
         );
         s
     }
-
-    /// Machine-readable form of the campaign report.
-    pub fn to_json(&self) -> sw_trace::Json {
-        use sw_trace::Json;
-        Json::obj([
-            ("rounds", Json::U64(self.rounds as u64)),
-            ("control_rounds", Json::U64(self.control_rounds as u64)),
-            (
-                "strict_rejections",
-                Json::U64(self.strict_rejections as u64),
-            ),
-            ("reconverged", Json::U64(self.reconverged as u64)),
-            ("injected", Json::U64(self.injected() as u64)),
-            ("detected", Json::U64(self.detected() as u64)),
-            ("fully_detected", Json::Bool(self.fully_detected())),
-            (
-                "per_class",
-                Json::Arr(
-                    self.per_class
-                        .iter()
-                        .map(|(class, t)| {
-                            Json::obj([
-                                ("class", Json::Str(class.label().to_string())),
-                                ("injected", Json::U64(t.injected as u64)),
-                                ("detected", Json::U64(t.detected as u64)),
-                                ("salvaged", Json::U64(t.salvaged as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
 }
+
+sw_trace::json_record!(ToJson for FaultCampaignReport {
+    rounds,
+    control_rounds,
+    strict_rejections,
+    reconverged,
+    injected => FaultCampaignReport::injected,
+    detected => FaultCampaignReport::detected,
+    fully_detected => FaultCampaignReport::fully_detected,
+    per_class => |r| r.per_class.iter().map(|&(class, t)| ClassRow(class, t)).collect::<Vec<_>>(),
+    metrics,
+});
+
+/// One `per_class` row: the class label beside its tally.
+struct ClassRow(FaultClass, ClassTally);
+
+sw_trace::json_record!(ToJson for ClassRow {
+    class => |r| r.0,
+    injected => |r| r.1.injected,
+    detected => |r| r.1.detected,
+    salvaged => |r| r.1.salvaged,
+});
 
 /// End-of-run occupancy of one heap pool ([`Experiment::run_heap_report`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -675,40 +609,22 @@ impl HeapReport {
         }
         s
     }
-
-    /// Machine-readable form of the occupancy report.
-    pub fn to_json(&self) -> sw_trace::Json {
-        use sw_trace::Json;
-        Json::obj([
-            ("carves", Json::U64(self.carves)),
-            ("allocs", Json::U64(self.allocs)),
-            ("frees", Json::U64(self.frees)),
-            ("checkpoints", Json::U64(self.checkpoints)),
-            (
-                "pools",
-                Json::Arr(
-                    self.pools
-                        .iter()
-                        .map(|p| {
-                            Json::obj([
-                                ("pool", Json::U64(p.pool as u64)),
-                                ("arena_lines", Json::U64(p.arena_lines)),
-                                ("carved_lines", Json::U64(p.carved_lines)),
-                                ("live_blocks", Json::U64(p.live_blocks)),
-                                ("live_lines", Json::U64(p.live_lines)),
-                                ("free_lines", Json::U64(p.free_lines)),
-                                ("largest_free_lines", Json::U64(p.largest_free_lines)),
-                                ("fragmentation", Json::F64(p.fragmentation)),
-                                ("journal_next_slot", Json::U64(p.journal_next_slot)),
-                                ("checkpoints", Json::U64(p.checkpoints)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
+
+sw_trace::json_record!(ToJson for PoolOccupancy {
+    pool,
+    arena_lines,
+    carved_lines,
+    live_blocks,
+    live_lines,
+    free_lines,
+    largest_free_lines,
+    fragmentation,
+    journal_next_slot,
+    checkpoints,
+});
+
+sw_trace::json_record!(ToJson for HeapReport { carves, allocs, frees, checkpoints, pools });
 
 /// What [`Experiment::run_heap_smoke`] measured — `swctl heap --verify`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -734,22 +650,15 @@ impl HeapSmokeReport {
             self.rounds, self.rooted_blocks, self.reclaimed_blocks, self.rounds_with_leaks
         )
     }
-
-    /// Machine-readable form of the smoke report.
-    pub fn to_json(&self) -> sw_trace::Json {
-        use sw_trace::Json;
-        Json::obj([
-            ("rounds", Json::U64(self.rounds as u64)),
-            ("reclaimed_blocks", Json::U64(self.reclaimed_blocks)),
-            (
-                "rounds_with_leaks",
-                Json::U64(self.rounds_with_leaks as u64),
-            ),
-            ("rooted_blocks", Json::U64(self.rooted_blocks)),
-            ("zero_leaks", Json::Bool(true)),
-        ])
-    }
 }
+
+sw_trace::json_record!(ToJson for HeapSmokeReport {
+    rounds,
+    reclaimed_blocks,
+    rounds_with_leaks,
+    rooted_blocks,
+    zero_leaks => |_| true,
+});
 
 /// Runs one benchmark × language model across every registered hardware
 /// design with identical logical work, returning `(design, stats)` pairs
@@ -830,6 +739,7 @@ pub fn host_is_multicore() -> bool {
 mod tests {
     use super::*;
     use sw_faults::{DeviceFault, DeviceFaultClass, DeviceFaultSchedule, FaultTrigger};
+    use sw_trace::ToJson;
 
     fn small(bench: BenchmarkId, lang: LangModel, design: HwDesign) -> Experiment {
         Experiment::new(bench, lang, design)

@@ -34,7 +34,7 @@ pub mod perfetto;
 pub mod sink;
 
 pub use event::{StallKind, TimedEvent, TraceEvent};
-pub use json::Json;
+pub use json::{FromJson, Json, ToJson};
 pub use metrics::{
     CounterId, GaugeId, GaugeSnapshot, HistogramId, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot,

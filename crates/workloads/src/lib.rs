@@ -171,6 +171,8 @@ impl BenchmarkId {
     }
 }
 
+sw_trace::json_label!(BenchmarkId: "bench");
+
 impl std::fmt::Display for BenchmarkId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
